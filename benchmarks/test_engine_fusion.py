@@ -1,4 +1,4 @@
-"""Benchmark: unfused plan replay vs fused interpretation and codegen.
+"""Benchmark: unfused plan replay vs fused interpretation.
 
 Acceptance criterion of ISSUE 8: on a small-shape (n ≤ 256) warm-plan
 microbenchmark the fused interpreter must be ≥ 1.3× faster than the
@@ -9,8 +9,8 @@ call count by ~1.5× at small base cases — no threads, no compiled
 kernels.  The gate measures the best ratio over a small size sweep and
 skips honestly with the measured number when the host cannot reproduce
 it (numbers for the reference container are recorded in EXPERIMENTS.md);
-bit-identity is asserted on every host, with and without a codegen
-provider, because fusion must never change results.
+bit-identity is asserted on every host, because fusion must never
+change results.
 
 The ``benchmark``-fixture microbenchmarks at the bottom export the
 ``engine_fusion`` group for CI regression tracking against
@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 
 from repro.bench.engine_bench import _best_of
-from repro.bench.fusion_bench import _exec_provider
 from repro.bench.harness import run_experiment
 from repro.bench.workloads import random_matrix
 from repro.cache.model import CacheModel
 from repro.config import configured
 from repro.core.workspace import StrassenWorkspace
-from repro.engine import ExecutionEngine, codegen, compile_plan, execute_plan
+from repro.engine import ExecutionEngine, compile_plan, execute_plan
 
 #: The fusion-friendly regime: tiny base case → deep recursion → the
 #: assembly steps (zero/add/store), not the base-case gemms, dominate.
@@ -60,22 +59,14 @@ class TestFusionSpeedup:
         assert fused.fused_steps > 0
         assert np.array_equal(c_u, c_f)
 
-    def test_fused_engine_bit_identical_including_codegen(self, tmp_path):
+    def test_fused_engine_bit_identical(self, tmp_path):
         a = random_matrix(256, 256, seed=7)
         with configured(base_case_elements=FUSE_BASE_CASE,
                         tuner_path=str(tmp_path / "tuner.json")):
             baseline = ExecutionEngine(parallel="off", fuse="off")
             fused = ExecutionEngine(parallel="off", fuse="on")
-            lowered = ExecutionEngine(parallel="off", fuse="on",
-                                      codegen="on")
-            codegen._set_provider(_exec_provider)
-            try:
-                expected = baseline.matmul_ata(a)
-                assert np.array_equal(expected, fused.matmul_ata(a))
-                lowered.matmul_ata(a)  # first use: verification pass
-                assert np.array_equal(expected, lowered.matmul_ata(a))
-            finally:
-                codegen._set_provider(None)
+            expected = baseline.matmul_ata(a)
+            assert np.array_equal(expected, fused.matmul_ata(a))
 
     def test_fused_at_least_1_3x_faster_warm_small_shape(self):
         best = 0.0
@@ -116,20 +107,15 @@ class TestFusionSpeedup:
 
 class TestRegisteredExperiment:
     def test_engine_fusion_experiment_runs(self):
-        table, interleave = run_experiment(
+        (table,) = run_experiment(
             "engine_fusion", sizes=[96], kinds=("ata",), repeats=2,
-            batch=2, base_case_elements=256, interleave_n=128,
-            interleave_workers=2, interleave_base_case=4096)
+            base_case_elements=256)
         records = table.as_records()
         assert len(records) == 1
         record = records[0]
         assert record["steps_fused"] < record["steps_unfused"]
         assert record["folded_steps"] > 0
         assert record["fused_speedup"] > 0
-        assert record["codegen_speedup"] > 0
-        (batch_record,) = interleave.as_records()
-        assert batch_record["interleaved_batches"] >= 1
-        assert batch_record["interleave_speedup"] > 0
 
 
 class TestRegressionTrackingMicrobenchmarks:
@@ -158,6 +144,8 @@ class TestRegressionTrackingMicrobenchmarks:
 
     @pytest.mark.benchmark(group="engine_fusion")
     def test_bench_engine_interleaved_batch_warm(self, benchmark):
+        """``run_batch`` on a 2-worker DAG engine; the name matches the
+        ``BENCH_engine.json`` baseline entry."""
         matrices = [random_matrix(128, 128, seed=20 + i) for i in range(3)]
         with configured(base_case_elements=4096):
             engine = ExecutionEngine(workers=2, parallel="dag")

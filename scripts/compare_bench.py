@@ -30,6 +30,11 @@ and commit the uploaded artifact, or record locally with::
 
     PYTHONPATH=src python -m pytest benchmarks \
         --benchmark-json=BENCH_engine.json
+
+Only ``stats.median`` is read, so strip the per-round ``stats.data`` arrays
+from a refreshed baseline before committing it::
+
+    python -c "import json; p = 'BENCH_engine.json'; d = json.load(open(p)); [b['stats'].pop('data', None) for b in d['benchmarks']]; json.dump(d, open(p, 'w'), indent=2)"
 """
 
 from __future__ import annotations

@@ -112,9 +112,6 @@ DEFAULT_SERVE_TIMEOUT_MS = 0.0
 #: Modes the ``fuse`` field / ``REPRO_FUSE`` env var accept.
 FUSE_MODES = ("off", "on", "auto")
 
-#: Modes the ``codegen`` field / ``REPRO_CODEGEN`` env var accept.
-CODEGEN_MODES = ("off", "on", "auto")
-
 #: Modes the ``tuner_mode`` field / ``REPRO_TUNER`` env var accept.
 TUNER_MODES = ("off", "measured", "frozen")
 
@@ -233,13 +230,6 @@ class Config:
         ``"on"`` on engines without a tuner.  Explicit ``algo=`` calls
         and direct :func:`repro.engine.plan.compile_plan` calls are
         unaffected.
-    codegen:
-        Compiled lowering of fused units (:mod:`repro.engine.codegen`):
-        ``"off"`` (default) always interprets; ``"on"``/``"auto"`` lower
-        fused units to jitted kernels when a provider (numba) is
-        importable, verifying each kernel bit-for-bit against the
-        interpreter on its first call and falling back bit-identically
-        when the toolchain is absent or a kernel miscompiles.
     tuner_mode:
         How the *default* engine attaches the measured auto-tuner:
         ``"off"`` (default) keeps heuristic dispatch, ``"measured"``
@@ -271,7 +261,6 @@ class Config:
     serve_default_timeout_ms: float = DEFAULT_SERVE_TIMEOUT_MS
     faults: str = ""
     fuse: str = "on"
-    codegen: str = "off"
     tuner_mode: str = "off"
 
     def __post_init__(self) -> None:
@@ -354,11 +343,6 @@ class Config:
             raise ConfigurationError(
                 f"unknown fuse mode {self.fuse!r}; expected one of {FUSE_MODES}"
             )
-        if self.codegen not in CODEGEN_MODES:
-            raise ConfigurationError(
-                f"unknown codegen mode {self.codegen!r}; expected one of "
-                f"{CODEGEN_MODES}"
-            )
         if self.tuner_mode not in TUNER_MODES:
             raise ConfigurationError(
                 f"unknown tuner_mode {self.tuner_mode!r}; expected one of "
@@ -401,8 +385,6 @@ def _config_from_env() -> Config:
                                   grammar); empty = all sites disarmed.
     ``REPRO_FUSE``                plan-fusion mode (one of
                                   :data:`FUSE_MODES`).
-    ``REPRO_CODEGEN``             compiled-lowering mode (one of
-                                  :data:`CODEGEN_MODES`).
     ``REPRO_TUNER``               default-engine tuner mode (one of
                                   :data:`TUNER_MODES`).
     """
@@ -441,8 +423,6 @@ def _config_from_env() -> Config:
         kwargs["faults"] = os.environ["REPRO_FAULTS"]
     if "REPRO_FUSE" in os.environ:
         kwargs["fuse"] = os.environ["REPRO_FUSE"]
-    if "REPRO_CODEGEN" in os.environ:
-        kwargs["codegen"] = os.environ["REPRO_CODEGEN"]
     if "REPRO_TUNER" in os.environ:
         kwargs["tuner_mode"] = os.environ["REPRO_TUNER"]
     return Config(**kwargs)

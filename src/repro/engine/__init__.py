@@ -90,7 +90,7 @@ because it changes the workspace layout the plan's arena offsets are baked
 against (sequential engines use one lane; DAG-capable engines spread
 scratch over ``min(workers, 4)`` lanes by default).  ``fused`` is in the
 key because the compiler's fusion pass (see
-:class:`~repro.engine.plan.FusedStep` and :mod:`repro.engine.codegen`)
+:class:`~repro.engine.plan.FusedStep`)
 produces a structurally different step sequence for the same recursion: a
 fused and an unfused compilation of one shape must never alias — the
 per-plan flag keeps them apart even within one config fingerprint, which
@@ -100,7 +100,7 @@ settings, worker count — is resolved at execution time, so a cached plan
 can never go stale through it.  Executing a plan replays the exact kernel
 sequence of the live recursion, making engine results bit-for-bit
 identical to the direct calls — sequentially, DAG-scheduled, fused, or
-batch-interleaved.
+batched.
 
 Quickstart
 ----------

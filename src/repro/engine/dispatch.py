@@ -36,7 +36,7 @@ import numpy as np
 
 from ..blas.kernels import scale, validate_matrix
 from ..cache.model import CacheModel, default_cache_model
-from ..config import get_config
+from ..config import FUSE_MODES, get_config
 from ..errors import ConfigurationError, DTypeError, ShapeError
 from .backends import (Backend, PlanBackend, candidates, choose_heuristic,
                        get_backend)
@@ -148,15 +148,6 @@ class EngineStats:
     #: primitive steps executed inside fused dispatch units, summed over
     #: every fused-plan execution (0 = fusion off or no chains found)
     fused_steps: int = 0
-    #: compiled kernels attached to fused units by the codegen layer
-    #: (each is verified bit-for-bit against the interpreter on its first
-    #: call before being trusted)
-    codegen_kernels: int = 0
-    #: batch invocations whose entries were interleaved through one
-    #: cross-entry super-DAG instead of executing serially
-    interleaved_batches: int = 0
-    #: batch entries those interleaved invocations carried in total
-    interleaved_items: int = 0
     #: lifetime high-water mark (bytes) of the engine's pooled workspaces
     #: (idle + checked out) — the figure the out-of-core executor charges
     #: against ``Config.memory_budget``
@@ -226,13 +217,6 @@ class ExecutionEngine:
         (op, dtype, shape-bucket) exactly as it arbitrates backends
         (without a tuner, ``"auto"`` behaves like ``"on"``).  Fused
         execution is bit-identical to the unfused replay.
-    codegen:
-        Compiled lowering of fused units (``None`` reads
-        ``Config.codegen``): ``"on"``/``"auto"`` attach jitted kernels to
-        fused units when a provider is importable (see
-        :mod:`repro.engine.codegen`); ``"off"`` always interprets.
-        Absence-clean: with no provider, execution is exactly the
-        interpreter.
 
     Notes
     -----
@@ -252,21 +236,16 @@ class ExecutionEngine:
                  workers: int = 1, parallel: ParallelMode = "auto",
                  scratch_lanes: Optional[int] = None,
                  tuner: Union[str, BackendTuner, None] = None,
-                 fuse: Optional[str] = None,
-                 codegen: Optional[str] = None) -> None:
+                 fuse: Optional[str] = None) -> None:
         if parallel not in _PARALLEL_MODES:
             raise ConfigurationError(f"unknown parallel mode {parallel!r}; "
                                      "expected 'auto', 'dag' or 'off'")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if fuse is not None and fuse not in ("off", "on", "auto"):
+        if fuse is not None and fuse not in FUSE_MODES:
             raise ConfigurationError(f"unknown fuse mode {fuse!r}; "
-                                     "expected 'off', 'on' or 'auto'")
-        if codegen is not None and codegen not in ("off", "on", "auto"):
-            raise ConfigurationError(f"unknown codegen mode {codegen!r}; "
-                                     "expected 'off', 'on' or 'auto'")
+                                     f"expected one of {FUSE_MODES}")
         self._fuse = fuse
-        self._codegen = codegen
         if scratch_lanes is not None and scratch_lanes < 1:
             raise ConfigurationError(
                 f"scratch_lanes must be >= 1, got {scratch_lanes}")
@@ -329,12 +308,9 @@ class ExecutionEngine:
         self._tuner_hits = 0
         self._tuner_explores = 0
         self._fused_steps = 0
-        self._codegen_kernels = 0
         self._sparse_runs = 0
         self._densify_crossovers = 0
         self._sparse_nnz = 0
-        self._interleaved_batches = 0
-        self._interleaved_items = 0
         # a tuner-arbitrated fused-vs-unfused decision must reach _plan()
         # through Backend.run, whose signature is frozen (custom backends
         # registered by callers predate the fuse knob); backend.run
@@ -346,9 +322,6 @@ class ExecutionEngine:
     # -- plan acquisition ---------------------------------------------------
     def _fuse_mode(self) -> str:
         return self._fuse if self._fuse is not None else get_config().fuse
-
-    def _codegen_mode(self) -> str:
-        return self._codegen if self._codegen is not None else get_config().codegen
 
     def _plan(self, backend: str, kind: str, shape: tuple, dtype,
               model: CacheModel,
@@ -542,12 +515,6 @@ class ExecutionEngine:
         if plan.fused_steps:
             with self._stats_lock:
                 self._fused_steps += plan.fused_steps
-            if self._codegen_mode() != "off":
-                from . import codegen
-                attached = codegen.prepare_plan(plan)
-                if attached:
-                    with self._stats_lock:
-                        self._codegen_kernels += attached
         mode = self._resolve_parallel(parallel)
         use_dag = (self.dag is not None and plan.dag is not None
                    and mode != "off"
@@ -793,65 +760,28 @@ class ExecutionEngine:
         """Shared mechanics of :meth:`run_batch` / :meth:`run_batch_atb`.
 
         ``prepare(item)`` validates one item and returns ``(a, b, shape,
-        c)``.  On a DAG-capable engine, plan-executed entries are
-        *interleaved*: their step DAGs merge into one cross-entry
-        super-DAG (each entry keeps its own output and its own
-        pool-acquired workspace — disjoint arena namespaces) so workers
-        stay busy across entries, small entries filling the bubbles left
-        by large ones; every entry's internal step order is still a
-        topological order of its own DAG, so each result is bit-identical
-        to the serial path.  Entries the super-DAG cannot carry —
-        non-plan backends, tuner explore decisions that must be timed
-        individually — run serially exactly as before, with workspaces
-        shared per plan key across the whole batch.  The batch counters
-        count only completed invocations.
+        c)``.  Entries run one after another through the same per-call
+        path as :meth:`matmul_ata` / :meth:`matmul_atb` (DAG-scheduled on a
+        DAG-capable engine), with workspaces shared per plan key across
+        the whole batch, so each result is bit-identical to the
+        corresponding single call.  The batch counters count only
+        completed invocations.
         """
         if algo != "auto":
             get_backend(algo, op)  # reject unknown/unsupported up front
-        mode = self._resolve_parallel(parallel)
-        can_weave = (self.dag is not None and mode != "off"
-                     and (mode == "dag" or self._auto_workers > 1))
         held: dict = {}
         prepared = [prepare(item) for item in items]
-        results: List[Optional[np.ndarray]] = [None] * len(prepared)
-        woven: List[tuple] = []  # (index, plan, a, b, c, backend_name)
+        results: List[np.ndarray] = []
         try:
-            for i, (a, b, shape, c) in enumerate(prepared):
+            for a, b, shape, c in prepared:
                 model = cache if cache is not None else default_cache_model(a.dtype)
                 backend, measured, sched, fuse, record_name = \
                     self._resolve_backend(op, shape, a.dtype, model, algo,
                                           parallel)
-                if (can_weave and not measured
-                        and type(backend).run is PlanBackend.run):
-                    plan = self._plan(backend.name, backend.kinds[op], shape,
-                                      a.dtype, model, fuse=fuse)
-                    woven.append((i, plan, a, b, c, backend.name))
-                    continue
                 self._run_backend(backend, op, shape, a, c, alpha, b,
                                   model, parallel, measured, sched, held=held,
                                   fuse=fuse, record_name=record_name)
-                results[i] = c
-            interleave = (len(woven) > 1
-                          and sum(t[1].n_steps for t in woven) >= _DAG_MIN_STEPS
-                          and all(t[1].dag is not None for t in woven))
-            if interleave:
-                self._run_interleaved(woven, alpha, mode)
-            else:
-                # too little work to interleave: replay the held-workspace
-                # serial path (exactly what PlanBackend.run does)
-                for i, plan, a, b, c, name in woven:
-                    workspace = None
-                    if plan.needs_workspace:
-                        workspace = held.get(plan.key)
-                        if workspace is None:
-                            workspace = held[plan.key] = \
-                                self.pool.acquire(plan, a.dtype)
-                    self._execute(plan, a, c, alpha, workspace, b, parallel)
-            for i, plan, a, b, c, name in woven:
-                results[i] = c
-                with self._stats_lock:
-                    self._backend_runs[name] = \
-                        self._backend_runs.get(name, 0) + 1
+                results.append(c)
             with self._stats_lock:
                 self._batch_calls += 1
                 self._batch_items += len(results)
@@ -859,29 +789,6 @@ class ExecutionEngine:
             for workspace in held.values():
                 self.pool.release(workspace)
         return results
-
-    def _run_interleaved(self, woven: List[tuple], alpha: float,
-                         mode: str) -> None:
-        """Execute plan-backed batch entries as one cross-entry super-DAG."""
-        for _, plan, a, b, c, _ in woven:
-            if plan.fused_steps:
-                with self._stats_lock:
-                    self._fused_steps += plan.fused_steps
-                if self._codegen_mode() != "off":
-                    from . import codegen
-                    attached = codegen.prepare_plan(plan)
-                    if attached:
-                        with self._stats_lock:
-                            self._codegen_kernels += attached
-        cap = self._auto_workers if mode == "auto" else None
-        entries = [(plan, a, b, c) for _, plan, a, b, c, _ in woven]
-        self.dag.execute_batch(entries, alpha,
-                               acquire=self.pool.acquire,
-                               release=self.pool.release,
-                               max_workers=cap)
-        with self._stats_lock:
-            self._interleaved_batches += 1
-            self._interleaved_items += len(entries)
 
     def run_batch(self, matrices: Sequence[np.ndarray], *,
                   algo: AtaAlgo = "auto", alpha: float = 1.0,
@@ -961,9 +868,6 @@ class ExecutionEngine:
             farm_retried_panels=self._farm_retried_panels,
             farm_degraded=self._farm_degraded,
             fused_steps=self._fused_steps,
-            codegen_kernels=self._codegen_kernels,
-            interleaved_batches=self._interleaved_batches,
-            interleaved_items=self._interleaved_items,
             pool_bytes_high=self.pool.bytes_high_water,
             sparse_runs=self._sparse_runs,
             densify_crossovers=self._densify_crossovers,

@@ -495,29 +495,17 @@ class FusedStep:
     reference exactly once and replays the members in plan order through
     the same kernel expressions as :func:`run_step` — bit-identical to the
     unfused replay by construction.
-
-    The ``kernel``/``kernel_state``/``source`` slots are the only mutable
-    state: :mod:`repro.engine.codegen` may attach a compiled kernel
-    (``kernel_state`` walks ``"cold" → "verify" → "ready"`` or
-    ``"rejected"``; a kernel must reproduce the interpreter bit-for-bit on
-    its first call or it is rejected and the unit permanently falls back
-    to interpretation).
     """
 
-    __slots__ = ("refs", "micro", "n_members", "kernel", "kernel_state",
-                 "source")
+    __slots__ = ("refs", "micro", "n_members")
 
     def __init__(self, refs: tuple, micro: tuple, n_members: int) -> None:
         self.refs = refs
         self.micro = micro
         self.n_members = n_members
-        self.kernel = None
-        self.kernel_state = "cold"
-        self.source = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FusedStep(members={self.n_members}, refs={len(self.refs)}, "
-                f"kernel={self.kernel_state})")
+        return f"FusedStep(members={self.n_members}, refs={len(self.refs)})"
 
 
 def _ref_key(ref) -> tuple:
@@ -560,9 +548,9 @@ def _step_lanes(step) -> frozenset:
                      if region.base >= _ARENA_P)
 
 
-#: Fused units stop absorbing members past this size: units large enough
-#: to amortise dispatch overhead, small enough that generated kernel
-#: sources stay compilable.
+#: Fused units stop absorbing members past this size: large enough to
+#: amortise dispatch overhead, small enough to keep each unit's operand
+#: table short.
 _FUSE_MAX_MEMBERS = 64
 
 
@@ -753,8 +741,8 @@ def _peephole_lincomb(micro: List[tuple], refs: tuple) -> tuple:
 def _fuse_frozen(member_steps: List[tuple]) -> FusedStep:
     """Freeze a multi-step unit into a :class:`FusedStep`.
 
-    Operand references are deduplicated into a table so execution (and a
-    generated kernel) resolves each distinct view once, and the
+    Operand references are deduplicated into a table so execution
+    resolves each distinct view once, and the
     :func:`_peephole_store` pass folds ``zero → accumulate`` member pairs
     into single direct stores — ``n_members`` keeps counting the original
     plan steps the unit absorbed, so ``len(micro)`` may be smaller.
@@ -1363,7 +1351,7 @@ def run_step(step, a, b, c, p, q, m, alpha: float) -> None:
         run_fused(step[1], a, b, c, p, q, m, alpha)
 
 
-def _interpret_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
+def run_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
     """Replay a fused unit's members through the interpreter.
 
     Each distinct operand reference resolves to a view exactly once (views
@@ -1421,28 +1409,6 @@ def _interpret_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
             cv[idx] += alpha * product[idx]
         else:  # OP_ZERO
             views[mop[1]][...] = 0
-
-
-def run_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
-    """Execute one fused unit: compiled kernel when verified, else interpret.
-
-    A kernel attached by :mod:`repro.engine.codegen` runs its first call
-    in ``"verify"`` state — executed against cloned outputs and compared
-    bit-for-bit with the interpreter before it is trusted (see
-    ``codegen.verify_first_use``).  ``"cold"`` and ``"rejected"`` units
-    always interpret.
-    """
-    state = fused.kernel_state
-    if state == "ready":
-        kernel = fused.kernel
-        if kernel is not None:
-            kernel(a, b, c, p, q, m, alpha)
-            return
-    elif state == "verify":
-        from .codegen import verify_first_use
-        verify_first_use(fused, a, b, c, p, q, m, alpha)
-        return
-    _interpret_fused(fused, a, b, c, p, q, m, alpha)
 
 
 def record_plan_counters(plan: ExecutionPlan, itemsize: int) -> None:

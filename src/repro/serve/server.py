@@ -521,7 +521,7 @@ class Server:
 
     def _execute_sparse(self, a, op: str, b, algo: str,
                         alpha: float) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_batch`."""
+        """Runs on an executor thread, like :meth:`_execute_coalesced`."""
         start = time.monotonic()
         try:
             if op == "ata":
@@ -705,7 +705,7 @@ class Server:
 
     def _execute_ooc(self, a: np.ndarray, algo: str, alpha: float,
                      ooc_kwargs: dict) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_batch`."""
+        """Runs on an executor thread, like :meth:`_execute_coalesced`."""
         start = time.monotonic()
         try:
             result, _ = self.engine.run_ooc(a, alpha=alpha, algo=algo,
@@ -788,7 +788,7 @@ class Server:
         try:
             try:
                 results = await loop.run_in_executor(
-                    self._executor, self._execute_batch, queue, batch)
+                    self._executor, self._execute_coalesced, queue, batch)
             except asyncio.CancelledError:
                 for request in batch:
                     if not request.future.done():
@@ -834,8 +834,8 @@ class Server:
                     _merge_counters(overflow, self._retired.pop(oldest))
             _merge_counters(entry, queue.snapshot())
 
-    def _execute_batch(self, queue: BatchQueue,
-                       batch: List[Request]) -> List[np.ndarray]:
+    def _execute_coalesced(self, queue: BatchQueue,
+                           batch: List[Request]) -> List[np.ndarray]:
         """Runs on an executor thread; the engine is thread-safe.
 
         ``run_seconds`` is measured here — around the engine call itself —
