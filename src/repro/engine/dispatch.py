@@ -49,19 +49,32 @@ from .sparse import density_bucket, operand_kind, operand_nnz, validate_operand
 from .tuner import BackendTuner
 
 __all__ = ["ExecutionEngine", "EngineStats", "default_engine",
-           "matmul_ata", "matmul_atb", "run_batch", "run_batch_atb",
-           "validate_atb_operands"]
+           "explicit_backend", "matmul_ata", "matmul_atb", "run_batch",
+           "run_batch_atb", "validate_operands"]
 
 
-def validate_atb_operands(a: np.ndarray, b: np.ndarray) -> None:
-    """Validate an ``(A, B)`` pair for the ``atb`` operation.
+def validate_operands(op: str, a, b=None) -> str:
+    """Validate the operands of one ``ata`` / ``atb`` request and return
+    ``a``'s operand kind (``"dense"``, ``"sparse"`` or ``"lowrank"``).
 
-    Shared by :meth:`ExecutionEngine.run_batch_atb` and the serving
-    layer's pre-admission validation (:mod:`repro.serve.server`), so the
-    operand rules — and their error messages — can never drift between
-    the two.
+    ``a`` may be dense or structured; ``b`` must be absent for ``ata``
+    and a dense matrix sharing ``a``'s first dimension and dtype for
+    ``atb``.  This is the one operand check: the ``matmul_*`` and batch
+    entry points and the serving layer's pre-admission check
+    (:mod:`repro.serve.server`) all call it, so the rules and their
+    error types cannot drift between them.
     """
-    validate_matrix(a, "A")
+    kind = operand_kind(a)
+    if kind == "dense":
+        validate_matrix(a, "A")
+    else:
+        validate_operand(a, "A")
+    if op == "ata":
+        if b is not None:
+            raise ShapeError("op='ata' takes no B operand")
+        return kind
+    if b is None:
+        raise ShapeError("op='atb' requires a B operand")
     validate_matrix(b, "B")
     if b.shape[0] != a.shape[0]:
         raise ShapeError("A and B must share their first dimension, "
@@ -69,6 +82,36 @@ def validate_atb_operands(a: np.ndarray, b: np.ndarray) -> None:
     if a.dtype != b.dtype:
         raise DTypeError("operands must share a dtype, got "
                          f"{sorted({str(a.dtype), str(b.dtype)})}")
+    return kind
+
+
+def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
+                     model: CacheModel, operand=None) -> Backend:
+    """The backend an explicit ``algo=`` name selects, or
+    :class:`ShapeError` when it is unknown, does not serve ``op``, does
+    not accept the operand's kind (``operand=None`` is dense), or whose
+    ``supports`` / ``supports_operand`` rejects this request.
+
+    Backend resolution and the serving layer's pre-admission check both
+    call it, so the server refuses exactly what the engine would.
+    """
+    kind = operand_kind(operand) if operand is not None else "dense"
+    backend = get_backend(algo, op)
+    if kind not in backend.operands:
+        raise ShapeError(
+            f"backend {algo!r} does not accept {kind!r} operands "
+            f"(accepts {sorted(backend.operands)})")
+    if not backend.supports(op, shape, dtype, model):
+        raise ShapeError(
+            f"backend {algo!r} cannot serve {op!r} on shape {shape} "
+            f"with dtype {np.dtype(dtype)} on this host")
+    if (operand is not None
+            and not backend.supports_operand(op, operand, model)):
+        raise ShapeError(
+            f"backend {algo!r} does not accept this {kind} operand "
+            f"(shape {shape})")
+    return backend
+
 
 #: Algorithm selectors are backend names now — plain strings resolved in
 #: the registry — not closed ``Literal`` unions.  The aliases survive for
@@ -396,23 +439,10 @@ class ExecutionEngine:
         measured per density bucket.  Dense requests (``operand=None``)
         resolve byte-identically to the pre-sparse engine.
         """
-        kind = operand_kind(operand) if operand is not None else "dense"
         if algo != "auto":
-            backend = get_backend(algo, op)
-            if kind not in backend.operands:
-                raise ShapeError(
-                    f"backend {algo!r} does not accept {kind!r} operands "
-                    f"(accepts {sorted(backend.operands)})")
-            if not backend.supports(op, shape, dtype, model):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on shape {shape} "
-                    f"with dtype {np.dtype(dtype)} on this host")
-            if (operand is not None
-                    and not backend.supports_operand(op, operand, model)):
-                raise ShapeError(
-                    f"backend {algo!r} does not accept this {kind} operand "
-                    f"(shape {shape})")
+            backend = explicit_backend(algo, op, shape, dtype, model, operand)
             return backend, False, None, None, backend.name
+        kind = operand_kind(operand) if operand is not None else "dense"
         forced = get_config().backend
         if forced != "auto":
             try:
@@ -494,6 +524,37 @@ class ExecutionEngine:
             self._backend_runs[run_name] = \
                 self._backend_runs.get(run_name, 0) + 1
 
+    def _dispatch(self, op: str, shape: Tuple[int, ...], a, b, c: np.ndarray,
+                  alpha: float, algo: str, cache: Optional[CacheModel],
+                  parallel: Optional[str], *, beta: float = 1.0,
+                  held: Optional[dict] = None) -> None:
+        """Resolve and run one validated request: the shared core of
+        :meth:`matmul_ata`, :meth:`matmul_atb` and every batch entry.
+
+        A structured ``a`` (scipy sparse / :class:`LowRank`) resolves
+        among the structured backends in its density-scoped tuner cell
+        and is counted in the sparse accounting.  ``c`` is pre-scaled by
+        ``beta`` only after a backend resolves, so a rejected request
+        leaves it untouched.
+        """
+        model = cache if cache is not None else default_cache_model(a.dtype)
+        density = density_bucket(a)  # None for dense operands
+        operand = a if density is not None else None
+        backend, measured, sched, fuse, record_name = self._resolve_backend(
+            op, shape, a.dtype, model, algo, parallel,
+            operand=operand, density=density)
+        if beta != 1.0:
+            scale(c, beta)
+        self._run_backend(backend, op, shape, a, c, alpha, b, model,
+                          parallel, measured, sched, held=held, fuse=fuse,
+                          record_name=record_name, density=density)
+        if operand is not None:
+            with self._stats_lock:
+                self._sparse_runs += 1
+                self._sparse_nnz += operand_nnz(a)
+                if backend.name == "densify":
+                    self._densify_crossovers += 1
+
     # -- scheduling ---------------------------------------------------------
     def _resolve_parallel(self, parallel: Optional[str]) -> str:
         if parallel is None:
@@ -572,11 +633,7 @@ class ExecutionEngine:
         measured tuner arbitrating the sparse-vs-densify crossover per
         density bucket.  ``c`` stays a dense ndarray either way.
         """
-        kind = operand_kind(a)
-        if kind == "dense":
-            validate_matrix(a, "A")
-        else:
-            validate_operand(a, "A")
+        validate_operands("ata", a)
         m, n = a.shape
         if c is None:
             c = np.zeros((n, n), dtype=a.dtype)
@@ -586,23 +643,8 @@ class ExecutionEngine:
                              f"{a.shape}, got {c.shape}")
         if a.dtype != c.dtype:
             raise ShapeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
-
-        model = cache if cache is not None else default_cache_model(a.dtype)
-        operand = a if kind != "dense" else None
-        density = density_bucket(a) if operand is not None else None
-        backend, measured, sched, fuse, record_name = self._resolve_backend(
-            "ata", (m, n), a.dtype, model, algo, parallel,
-            operand=operand, density=density)
-        scale(c, beta)
-        self._run_backend(backend, "ata", (m, n), a, c, alpha, None, model,
-                          parallel, measured, sched, fuse=fuse,
-                          record_name=record_name, density=density)
-        if operand is not None:
-            with self._stats_lock:
-                self._sparse_runs += 1
-                self._sparse_nnz += operand_nnz(a)
-                if backend.name == "densify":
-                    self._densify_crossovers += 1
+        self._dispatch("ata", (m, n), a, None, c, alpha, algo, cache,
+                       parallel, beta=beta)
         return c
 
     # -- A^T B --------------------------------------------------------------
@@ -624,18 +666,7 @@ class ExecutionEngine:
         stay dense): dispatch selects among the structured backends with
         the tuner arbitrating sparse-vs-densify per density bucket.
         """
-        kind = operand_kind(a)
-        if kind == "dense":
-            validate_atb_operands(a, b)
-        else:
-            validate_operand(a, "A")
-            validate_matrix(b, "B")
-            if b.shape[0] != a.shape[0]:
-                raise ShapeError("A and B must share their first dimension, "
-                                 f"got {a.shape} and {b.shape}")
-            if a.dtype != b.dtype:
-                raise DTypeError("operands must share a dtype, got "
-                                 f"{sorted({str(a.dtype), str(b.dtype)})}")
+        validate_operands("atb", a, b)
         m, n = a.shape
         k = b.shape[1]
         if c is None:
@@ -649,22 +680,8 @@ class ExecutionEngine:
             # silently computing through a reduced-precision workspace
             raise DTypeError("operands must share a dtype, got "
                              f"{sorted({str(a.dtype), str(c.dtype)})}")
-
-        model = cache if cache is not None else default_cache_model(a.dtype)
-        operand = a if kind != "dense" else None
-        density = density_bucket(a) if operand is not None else None
-        backend, measured, sched, fuse, record_name = self._resolve_backend(
-            "atb", (m, n, k), a.dtype, model, algo, parallel,
-            operand=operand, density=density)
-        self._run_backend(backend, "atb", (m, n, k), a, c, alpha, b, model,
-                          parallel, measured, sched, fuse=fuse,
-                          record_name=record_name, density=density)
-        if operand is not None:
-            with self._stats_lock:
-                self._sparse_runs += 1
-                self._sparse_nnz += operand_nnz(a)
-                if backend.name == "densify":
-                    self._densify_crossovers += 1
+        self._dispatch("atb", (m, n, k), a, b, c, alpha, algo, cache,
+                       parallel)
         return c
 
     # -- out-of-core --------------------------------------------------------
@@ -774,13 +791,8 @@ class ExecutionEngine:
         results: List[np.ndarray] = []
         try:
             for a, b, shape, c in prepared:
-                model = cache if cache is not None else default_cache_model(a.dtype)
-                backend, measured, sched, fuse, record_name = \
-                    self._resolve_backend(op, shape, a.dtype, model, algo,
-                                          parallel)
-                self._run_backend(backend, op, shape, a, c, alpha, b,
-                                  model, parallel, measured, sched, held=held,
-                                  fuse=fuse, record_name=record_name)
+                self._dispatch(op, shape, a, b, c, alpha, algo, cache,
+                               parallel, held=held)
                 results.append(c)
             with self._stats_lock:
                 self._batch_calls += 1
@@ -803,7 +815,7 @@ class ExecutionEngine:
         engine's scheduling mode for every matrix in the batch.
         """
         def prepare(a: np.ndarray):
-            validate_matrix(a, "A")
+            validate_operands("ata", a)
             m, n = a.shape
             return a, None, (m, n), np.zeros((n, n), dtype=a.dtype)
 
@@ -824,7 +836,7 @@ class ExecutionEngine:
         """
         def prepare(pair):
             a, b = pair
-            validate_atb_operands(a, b)
+            validate_operands("atb", a, b)
             m, n = a.shape
             k = b.shape[1]
             return a, b, (m, n, k), np.zeros((n, k), dtype=a.dtype)

@@ -71,8 +71,9 @@ Known sites
                           thread (the stream degrades to synchronous
                           staging)
 ``serve.batch``           per dispatched batch; ``raise`` fails the batch
-``serve.engine``          per dispatched batch; ``slow`` delays the engine
-                          call (drives deadline expiry)
+``serve.engine``          per engine call of every serving entry kind
+                          (coalesced batch or direct request); ``slow``
+                          delays the call (drives deadline expiry)
 ``serve.conn``            per received wire-protocol frame (``index`` =
                           frames seen on the connection); evaluated with
                           :func:`probe` and enacted by the connection

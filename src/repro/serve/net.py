@@ -298,8 +298,7 @@ class NetServer:
 
     async def _serve_submit(self, header, payload, writer, write_lock,
                             encoding, client) -> None:
-        request_id = header.get("id")
-        try:
+        async def submit():
             if header.get("sparse") == "csr":
                 a = unpack_csr(header, payload)
                 a_nbytes = csr_payload_nbytes(header)
@@ -310,19 +309,29 @@ class NetServer:
             if "b_dtype" in header:
                 b = unpack_array(header, payload, prefix="b_",
                                  offset=a_nbytes)
-            result = await self.server.submit(
+            return await self.server.submit(
                 a, op=header.get("req_op", "ata"), b=b,
                 algo=header.get("algo", "auto"),
                 alpha=float(header.get("alpha", 1.0)),
                 timeout=header.get("timeout"),
                 client=client)
+
+        await self._settle(header.get("id"), submit(), writer, write_lock,
+                           encoding)
+
+    async def _settle(self, request_id, result, writer, write_lock,
+                      encoding) -> None:
+        """Await ``result`` and reply with its array as a ``result``
+        frame, or with an error frame when it raised."""
+        try:
+            array = await result
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
             await self._reply(writer, write_lock,
                               error_header(request_id, exc), b"", encoding)
             return
-        meta, raw = pack_array(result)
+        meta, raw = pack_array(array)
         await self._reply(writer, write_lock,
                           {"op": "result", "id": request_id, **meta},
                           raw, encoding)
@@ -373,18 +382,8 @@ class NetServer:
             raise ProtocolError(
                 f"stream_end for unknown stream id {request_id!r}")
         await _guarded_put(entry, _END)
-        try:
-            result = await entry.task
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            await self._reply(writer, write_lock,
-                              error_header(request_id, exc), b"", encoding)
-            return
-        meta, raw = pack_array(result)
-        await self._reply(writer, write_lock,
-                          {"op": "result", "id": request_id, **meta},
-                          raw, encoding)
+        await self._settle(request_id, entry.task, writer, write_lock,
+                           encoding)
 
 
 class Client:

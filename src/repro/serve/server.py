@@ -34,6 +34,21 @@ workspace pool and tuner table.  The moving parts:
 * **graceful drain** — ``await server.close()`` stops admission, flushes
   every queue immediately and waits for all admitted work to finish.
 
+**One request lifecycle.**  Every entry point — dense and structured
+:meth:`Server.submit`, :meth:`Server.submit_ooc`,
+:meth:`Server.submit_stream` — runs the same private lifecycle: bind
+the loop, refuse after ``close``, parse the timeout, run the
+pre-admission check, admit, attach the ledger callback, run the entry
+kind's execute step, arm the deadline timer, await.  Only the execute
+step differs: dense requests enqueue into a coalescing queue; the
+direct kinds (structured operands, out-of-core, streamed) each start
+one task that settles its request.  Every engine call passes one timed
+wrapper that also owns the ``serve.engine`` chaos site.  The
+pre-admission check *is* the engine's:
+:func:`~repro.engine.dispatch.validate_operands` and
+:func:`~repro.engine.dispatch.explicit_backend`, so the server refuses
+exactly what the engine would, with the same error type.
+
 Bit-identity is inherited, not re-established: the engine's batch entry
 points are documented to equal the corresponding ``matmul_*`` loops bit
 for bit, and the server only ever *groups* requests — it never reorders a
@@ -63,6 +78,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -73,8 +89,8 @@ from ..cache.model import default_cache_model
 from ..config import get_config
 from ..engine import ExecutionEngine
 from ..engine.backends import get_backend
-from ..engine.dispatch import validate_atb_operands
-from ..engine.sparse import is_sparse, validate_operand
+from ..engine.dispatch import explicit_backend, validate_operands
+from ..engine.sparse import operand_kind
 from ..errors import (
     ConfigurationError,
     DeadlineError,
@@ -251,39 +267,69 @@ class Server:
         self._loop = loop
         return loop
 
-    # -- validation ---------------------------------------------------------
-    def _validate(self, op: str, a: np.ndarray, b: Optional[np.ndarray],
-                  algo: str) -> None:
-        """Reject malformed requests before admission.
+    # -- the request lifecycle ---------------------------------------------
+    async def _serve(self, check, execute, timeout, client) -> np.ndarray:
+        """The one lifecycle every entry point runs, in this order: bind
+        the loop, refuse after :meth:`close`, parse ``timeout``, run the
+        pre-admission ``check()``, admit, create the future with its
+        ledger callback, run the entry kind's ``execute(future, client)``
+        step, arm the deadline timer, await the result.
+
+        ``execute`` either enqueues into a coalescing queue (dense
+        :meth:`submit`; it returns the queue, which :meth:`_expire`
+        prunes) or starts one direct task (:meth:`_start_direct`;
+        returns ``None``).
+        """
+        loop = self._bind_loop()
+        if self._closing:
+            raise ServerClosedError("server is closed to new submissions")
+        if timeout is None:
+            timeout = self.default_timeout_seconds
+        try:
+            timeout = float(timeout)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"timeout must be a number of seconds, got {timeout!r}"
+            ) from None
+        if not (timeout >= 0):  # NaN-safe: NaN fails every comparison
+            raise ConfigurationError(
+                f"timeout must be >= 0 seconds, got {timeout}")
+        client = str(client)
+        check()
+        self._admit(client)
+        future = loop.create_future()
+        future.add_done_callback(
+            lambda fut: self._on_request_done(fut, client))
+        queue = execute(future, client)
+        if timeout > 0:
+            deadline_timer = loop.call_later(
+                timeout, self._expire, future, timeout, queue)
+            # the timer must not outlive the request, however it settles
+            future.add_done_callback(
+                lambda _, handle=deadline_timer: handle.cancel())
+        return await future
+
+    def _check(self, op: str, a, b, algo: str) -> None:
+        """Reject malformed requests before admission, with the engine's
+        own verdict: its operand check and, for an explicit ``algo``, its
+        explicit-backend check — so the server refuses exactly what (and
+        with exactly the error type) the engine would.
 
         The engine would reject them anyway, but inside a coalesced batch
-        — failing every innocent companion request.  Validating up front
+        — failing every innocent companion request.  Checking up front
         means an admitted request can only fail with its whole batch.
+        The coalescing key buckets shapes, so a shape-dependent
+        ``supports()`` is checked per exact shape here, with the same
+        default cache model batch execution will use.
         """
         if op not in _OPS:
             raise ConfigurationError(
                 f"unknown operation {op!r}; expected one of {_OPS}")
-        if op == "ata":
-            if b is not None:
-                raise ShapeError("op='ata' takes no B operand")
-            validate_matrix(a, "A")
-        else:
-            if b is None:
-                raise ShapeError("op='atb' requires a B operand")
-            validate_atb_operands(a, b)
+        kind = validate_operands(op, a, b)
         if algo != "auto":
-            backend = get_backend(algo, op)  # unknown name -> ShapeError
-            shape = self._request_shape(op, a, b)
-            # the batch-time resolver would reject an unsupported request
-            # anyway — but inside a coalesced batch, failing every
-            # innocent companion; the coalescing key buckets shapes, so a
-            # shape-dependent supports() must be checked per exact shape
-            # here, with the same default model batch execution will use
-            if not backend.supports(op, shape, a.dtype,
-                                    default_cache_model(a.dtype)):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on shape "
-                    f"{shape} with dtype {np.dtype(a.dtype)} on this host")
+            explicit_backend(algo, op, self._request_shape(op, a, b),
+                             a.dtype, default_cache_model(a.dtype),
+                             operand=None if kind == "dense" else a)
 
     # -- admission ----------------------------------------------------------
     def _client_entry(self, client: str) -> dict:
@@ -332,7 +378,7 @@ class Server:
             self._inflight += 1
             self._client_inflight[client] = held + 1
 
-    # -- submission ---------------------------------------------------------
+    # -- entry points -------------------------------------------------------
     async def submit(self, a: np.ndarray, op: str = "ata",
                      b: Optional[np.ndarray] = None, *,
                      algo: str = "auto",
@@ -345,14 +391,16 @@ class Server:
         is bit-identical to ``engine.matmul_ata(a, alpha=alpha,
         algo=algo)`` (resp. ``matmul_atb``) on the shared engine.  Raises
         :class:`QueueFullError` when admission control is full,
-        :class:`ServerClosedError` after :meth:`close`, and shape/dtype
-        errors for malformed operands.  Cancelling the awaiting task
-        abandons the request cleanly (it never corrupts a batch).
+        :class:`ServerClosedError` after :meth:`close`, and the engine's
+        own shape/dtype errors for malformed operands.  Cancelling the
+        awaiting task abandons the request cleanly (it never corrupts a
+        batch).
 
         ``timeout`` is the request's deadline in **seconds** (the asyncio
         idiom); ``None`` reads ``Config.serve_default_timeout_ms``, and
-        ``0`` means no deadline (the config default).  A request whose
-        deadline passes before its result arrives is settled with
+        ``0`` means no deadline (the config default); a negative, NaN or
+        non-numeric value raises :class:`ConfigurationError`.  A request
+        whose deadline passes before its result arrives is settled with
         :class:`DeadlineError` and dropped through the cancelled-waiter
         path: still-pending it simply never joins a batch, already
         batched its slot is skipped when results are zipped back — the
@@ -368,170 +416,26 @@ class Server:
         round-robin.  The wire front door passes its per-connection id
         automatically.
 
-        A scipy sparse ``a`` is served through the engine's sparse
-        dispatch on a direct (non-coalesced) path like
-        :meth:`submit_ooc` — sparse operands share no plan with dense
-        companions, so there is nothing to batch them with — under the
-        same admission, fairness, deadline and ledger semantics.
+        A structured ``a`` (scipy sparse or
+        :class:`~repro.engine.sparse.LowRank`) is served through the
+        engine's structured dispatch on a direct (non-coalesced) path
+        like :meth:`submit_ooc` — structured operands share no plan with
+        dense companions, so there is nothing to batch them with — under
+        the same admission, fairness, deadline and ledger semantics.
         """
-        if is_sparse(a):
-            return await self._submit_sparse(a, op, b, algo=algo,
-                                             alpha=alpha, timeout=timeout,
-                                             client=client)
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        self._validate(op, a, b, algo)
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        request = Request(a=a, b=b, op=op, algo=algo, alpha=float(alpha),
-                          future=future, client=client)
-        key = queue_key(op, algo, a.dtype, self._request_shape(op, a, b),
-                        float(alpha))
-        with self._lock:  # stats() iterates the queue map from any thread
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = BatchQueue(key)
-            queue.append(request)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, queue)
-            # the timer must not outlive the request, however it settles
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        # the flush threshold counts *live* futures: the deque may also
-        # hold cancelled/expired husks that take() will drop, and under
-        # deadline churn counting those would dispatch premature partial
-        # batches
-        if queue.live_count() >= self.max_batch:
-            self._flush(queue)
-        elif queue.timer is None:
-            if self.linger_seconds <= 0:
-                queue.timer = loop.call_soon(self._flush, queue)
-            else:
-                queue.timer = loop.call_later(self.linger_seconds,
-                                              self._flush, queue)
-        return await future
-
-    @staticmethod
-    def _request_shape(op: str, a: np.ndarray,
-                       b: Optional[np.ndarray]) -> tuple:
-        if op == "ata":
-            return a.shape
-        return (a.shape[0], a.shape[1], b.shape[1])
-
-    # -- sparse submission --------------------------------------------------
-    def _validate_sparse(self, op: str, a, b, algo: str) -> None:
-        """Pre-admission validation of a sparse request — the sparse
-        counterpart of :meth:`_validate` (whose dense-operand rules a
-        sparse matrix cannot satisfy)."""
-        if op not in _OPS:
-            raise ConfigurationError(
-                f"unknown operation {op!r}; expected one of {_OPS}")
-        validate_operand(a, "A")
-        if op == "ata":
-            if b is not None:
-                raise ShapeError("op='ata' takes no B operand")
+        alpha = float(alpha)
+        if operand_kind(a) == "dense":
+            execute = partial(self._enqueue, a, op, b, algo, alpha)
         else:
-            if b is None:
-                raise ShapeError("op='atb' requires a B operand")
-            validate_matrix(b, "B")
-            if b.shape[0] != a.shape[0]:
-                raise ShapeError("A and B must share their first "
-                                 f"dimension, got {a.shape} and {b.shape}")
-            if np.dtype(a.dtype) != b.dtype:
-                raise ShapeError("operands must share a dtype, got "
-                                 f"{sorted({str(a.dtype), str(b.dtype)})}")
-        if algo != "auto":
-            backend = get_backend(algo, op)  # unknown name -> ShapeError
-            shape = self._request_shape(op, a, b)
-            if "sparse" not in backend.operands:
-                raise ShapeError(
-                    f"backend {algo!r} does not accept sparse operands "
-                    f"(accepts {sorted(backend.operands)})")
-            if (not backend.supports(op, shape, a.dtype,
-                                     default_cache_model(a.dtype))
-                    or not backend.supports_operand(
-                        op, a, default_cache_model(a.dtype))):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on this sparse "
-                    f"operand of shape {shape} with dtype "
-                    f"{np.dtype(a.dtype)} on this host")
+            def call() -> np.ndarray:
+                if op == "ata":
+                    return self.engine.matmul_ata(a, alpha=alpha, algo=algo)
+                return self.engine.matmul_atb(a, b, alpha=alpha, algo=algo)
+            execute = partial(self._start_direct,
+                              lambda: self._offload(call))
+        return await self._serve(partial(self._check, op, a, b, algo),
+                                 execute, timeout, client)
 
-    async def _submit_sparse(self, a, op: str, b, *, algo: str,
-                             alpha: float, timeout: Optional[float],
-                             client: str) -> np.ndarray:
-        """Direct execution path for sparse operands (see :meth:`submit`):
-        admission, fairness, deadlines and the ledger apply exactly as on
-        the coalescing path, but the request runs alone on the executor —
-        through the engine's sparse dispatch, where the measured tuner
-        arbitrates sparse-vs-densify per density bucket."""
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        self._validate_sparse(op, a, b, algo)
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_sparse(future, a, op, b, algo, float(alpha)))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        return await future
-
-    async def _run_sparse(self, future: "asyncio.Future", a, op: str, b,
-                          algo: str, alpha: float) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                self._executor, self._execute_sparse, a, op, b, algo, alpha)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.set_exception(ServerClosedError(
-                    "sparse request aborted by server shutdown"))
-            raise
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            return
-        if not future.done():
-            future.set_result(result)
-
-    def _execute_sparse(self, a, op: str, b, algo: str,
-                        alpha: float) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_coalesced`."""
-        start = time.monotonic()
-        try:
-            if op == "ata":
-                return self.engine.matmul_ata(a, alpha=alpha, algo=algo)
-            return self.engine.matmul_atb(a, b, alpha=alpha, algo=algo)
-        finally:
-            with self._lock:
-                self._metrics.observe_run(time.monotonic() - start)
-
-    # -- out-of-core / streaming submission ---------------------------------
     async def submit_ooc(self, a: np.ndarray, *, algo: str = "auto",
                          alpha: float = 1.0,
                          timeout: Optional[float] = None,
@@ -547,40 +451,18 @@ class Server:
         :meth:`~repro.engine.ExecutionEngine.run_ooc` on the executor,
         streaming panels through the shared engine's plan cache.  All
         the *other* serving guarantees are inherited: the request passes
-        admission control (and the fairness share for ``client``), holds
-        its slot until settled, honours ``timeout`` with
-        :class:`DeadlineError`, is ledgered like any other request, and
-        is awaited by :meth:`close`.  Extra keyword arguments
-        (``budget=``, ``panel_rows=``, ``procs=``, ...) pass through to
-        ``run_ooc``.
+        the same pre-admission check as :meth:`submit`, admission control
+        (and the fairness share for ``client``), holds its slot until
+        settled, honours ``timeout`` with :class:`DeadlineError`, is
+        ledgered like any other request, and is awaited by :meth:`close`.
+        Extra keyword arguments (``budget=``, ``panel_rows=``,
+        ``procs=``, ...) pass through to ``run_ooc``.
         """
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        validate_matrix(a, "A")
-        if algo != "auto":
-            get_backend(algo, "ata")  # unknown name -> ShapeError, pre-admission
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_ooc(future, a, algo, float(alpha), ooc_kwargs))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        return await future
+        call = partial(self._ooc, a, algo, float(alpha), ooc_kwargs)
+        return await self._serve(
+            partial(self._check, "ata", a, None, algo),
+            partial(self._start_direct, lambda: self._offload(call)),
+            timeout, client)
 
     async def submit_stream(self, chunks, *, algo: str = "auto",
                             alpha: float = 1.0,
@@ -593,52 +475,85 @@ class Server:
         ``chunks`` is a sync or async iterable of 2-D arrays sharing a
         dtype and column count; they are spooled in arrival order to an
         anonymous temporary file, wrapped as a read-only
-        :class:`numpy.memmap`, and handed to the out-of-core path
-        exactly like :meth:`submit_ooc` (whose admission / fairness /
-        deadline / ledger semantics this shares — the admission slot is
-        claimed before spooling starts, so streaming clients feel
-        backpressure too).  This is how the wire front door serves
-        batches far larger than RAM: frames stream off the socket
-        straight into the spool.
+        :class:`numpy.memmap`, and handed to the out-of-core execute step
+        of :meth:`submit_ooc` (whose admission / fairness / deadline /
+        ledger semantics this shares — the admission slot is claimed
+        before spooling starts, so streaming clients feel backpressure
+        too; only ``algo`` can be checked before the operand exists).
+        This is how the wire front door serves batches far larger than
+        RAM: frames stream off the socket straight into the spool.
         """
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        if algo != "auto":
-            get_backend(algo, "ata")
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_stream(future, chunks, algo, float(alpha), ooc_kwargs))
+        alpha = float(alpha)
+
+        async def work() -> np.ndarray:
+            with tempfile.TemporaryFile(prefix="repro-serve-stream-") as spool:
+                a = await self._spool(chunks, spool)
+                return await self._offload(
+                    partial(self._ooc, a, algo, alpha, ooc_kwargs))
+
+        check = ((lambda: None) if algo == "auto"
+                 else partial(get_backend, algo, "ata"))
+        return await self._serve(check, partial(self._start_direct, work),
+                                 timeout, client)
+
+    @staticmethod
+    def _request_shape(op: str, a, b) -> tuple:
+        if op == "ata":
+            return a.shape
+        return (a.shape[0], a.shape[1], b.shape[1])
+
+    # -- execute steps ------------------------------------------------------
+    def _enqueue(self, a: np.ndarray, op: str, b: Optional[np.ndarray],
+                 algo: str, alpha: float, future: "asyncio.Future",
+                 client: str) -> BatchQueue:
+        """Execute step of dense :meth:`submit`: append the request to
+        its coalescing queue, then flush the queue when full or arm its
+        linger timer.  Returns the queue (the deadline timer prunes it)."""
+        request = Request(a=a, b=b, op=op, algo=algo, alpha=alpha,
+                          future=future, client=client)
+        key = queue_key(op, algo, a.dtype, self._request_shape(op, a, b),
+                        alpha)
+        with self._lock:  # stats() iterates the queue map from any thread
+            queue = self._queues.get(key)
+            if queue is None:
+                queue = self._queues[key] = BatchQueue(key)
+            queue.append(request)
+        # the flush threshold counts *live* futures: the deque may also
+        # hold cancelled/expired husks that take() will drop, and under
+        # deadline churn counting those would dispatch premature partial
+        # batches
+        if queue.live_count() >= self.max_batch:
+            self._flush(queue)
+        elif queue.timer is None:
+            if self.linger_seconds <= 0:
+                queue.timer = self._loop.call_soon(self._flush, queue)
+            else:
+                queue.timer = self._loop.call_later(self.linger_seconds,
+                                                    self._flush, queue)
+        return queue
+
+    def _start_direct(self, work, future: "asyncio.Future",
+                      client: str) -> None:
+        """Execute step of the direct kinds (structured :meth:`submit`,
+        :meth:`submit_ooc`, :meth:`submit_stream`): one task settling
+        ``future`` from ``await work()``.  No queue is involved."""
+        self._track(self._loop.create_task(self._run_direct(future, work)))
+
+    def _track(self, task: asyncio.Task) -> None:
+        """Keep ``task`` in the set :meth:`close` awaits until it ends."""
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        return await future
 
-    async def _run_ooc(self, future: "asyncio.Future", a: np.ndarray,
-                       algo: str, alpha: float, ooc_kwargs: dict) -> None:
-        loop = asyncio.get_running_loop()
+    async def _run_direct(self, future: "asyncio.Future", work) -> None:
+        """Settle one direct request: shutdown cancellation becomes
+        :class:`ServerClosedError`, any other failure is delivered to the
+        awaiter (never swallowed)."""
         try:
-            result = await loop.run_in_executor(
-                self._executor, self._execute_ooc, a, algo, alpha,
-                ooc_kwargs)
+            result = await work()
         except asyncio.CancelledError:
             if not future.done():
                 future.set_exception(ServerClosedError(
-                    "out-of-core request aborted by server shutdown"))
+                    "request aborted by server shutdown"))
             raise
         except BaseException as exc:
             if not future.done():
@@ -647,74 +562,81 @@ class Server:
         if not future.done():
             future.set_result(result)
 
-    async def _run_stream(self, future: "asyncio.Future", chunks,
-                          algo: str, alpha: float,
-                          ooc_kwargs: dict) -> None:
+    async def _spool(self, chunks, spool) -> np.memmap:
+        """Write a stream's row-chunks to ``spool`` in arrival order and
+        map the result read-only."""
         loop = asyncio.get_running_loop()
-        spool = tempfile.TemporaryFile(prefix="repro-serve-stream-")
-        try:
-            rows = 0
-            cols: Optional[int] = None
-            dtype: Optional[np.dtype] = None
+        rows = 0
+        cols: Optional[int] = None
+        dtype: Optional[np.dtype] = None
 
-            def spool_chunk(chunk) -> int:
-                nonlocal cols, dtype
-                validate_matrix(chunk, "stream chunk")
-                if cols is None:
-                    cols, dtype = chunk.shape[1], chunk.dtype
-                elif chunk.shape[1] != cols:
-                    raise ShapeError(
-                        f"stream chunk has {chunk.shape[1]} columns; "
-                        f"earlier chunks had {cols}")
-                elif chunk.dtype != dtype:
-                    raise ShapeError(
-                        f"stream chunk dtype {chunk.dtype} differs from "
-                        f"earlier chunks' {dtype}")
-                spool.write(np.ascontiguousarray(chunk))
-                return chunk.shape[0]
+        def spool_chunk(chunk) -> int:
+            nonlocal cols, dtype
+            validate_matrix(chunk, "stream chunk")
+            if cols is None:
+                cols, dtype = chunk.shape[1], chunk.dtype
+            elif chunk.shape[1] != cols:
+                raise ShapeError(
+                    f"stream chunk has {chunk.shape[1]} columns; "
+                    f"earlier chunks had {cols}")
+            elif chunk.dtype != dtype:
+                raise ShapeError(
+                    f"stream chunk dtype {chunk.dtype} differs from "
+                    f"earlier chunks' {dtype}")
+            spool.write(np.ascontiguousarray(chunk))
+            return chunk.shape[0]
 
-            if hasattr(chunks, "__aiter__"):
-                async for chunk in chunks:
-                    rows += await loop.run_in_executor(
-                        self._executor, spool_chunk, chunk)
-            else:
-                for chunk in chunks:
-                    rows += await loop.run_in_executor(
-                        self._executor, spool_chunk, chunk)
-            if rows == 0:
-                raise ShapeError("stream produced no rows")
-            spool.flush()
-            a = np.memmap(spool, dtype=dtype, mode="r", shape=(rows, cols))
-            result = await loop.run_in_executor(
-                self._executor, self._execute_ooc, a, algo, alpha,
-                ooc_kwargs)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.set_exception(ServerClosedError(
-                    "streaming request aborted by server shutdown"))
-            raise
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            return
+        if hasattr(chunks, "__aiter__"):
+            async for chunk in chunks:
+                rows += await loop.run_in_executor(
+                    self._executor, spool_chunk, chunk)
         else:
-            if not future.done():
-                future.set_result(result)
-        finally:
-            spool.close()
+            for chunk in chunks:
+                rows += await loop.run_in_executor(
+                    self._executor, spool_chunk, chunk)
+        if rows == 0:
+            raise ShapeError("stream produced no rows")
+        spool.flush()
+        return np.memmap(spool, dtype=dtype, mode="r", shape=(rows, cols))
 
-    def _execute_ooc(self, a: np.ndarray, algo: str, alpha: float,
-                     ooc_kwargs: dict) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_coalesced`."""
+    def _ooc(self, a, algo: str, alpha: float,
+             ooc_kwargs: dict) -> np.ndarray:
+        """The out-of-core engine call of :meth:`submit_ooc` and
+        :meth:`submit_stream`."""
+        result, _ = self.engine.run_ooc(a, alpha=alpha, algo=algo,
+                                        **ooc_kwargs)
+        return result
+
+    async def _offload(self, call, queue: Optional[BatchQueue] = None):
+        """Run ``call()`` on the executor through :meth:`_run_engine`."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._run_engine, call, queue)
+
+    def _run_engine(self, call, queue: Optional[BatchQueue] = None):
+        """Runs on an executor thread (the engine is thread-safe): the
+        one timed engine call of every entry kind.
+
+        It owns the chaos sites — ``serve.batch`` for coalesced batches
+        (the ones passing their ``queue``) and ``serve.engine`` for every
+        engine call, whose ``slow`` action drives deadline expiry on all
+        paths.  Run time is measured here, around the engine call itself,
+        so a request queued behind others in the executor charges that
+        delay to neither wait (pre-dispatch) nor run accounting.
+        """
         start = time.monotonic()
         try:
-            result, _ = self.engine.run_ooc(a, alpha=alpha, algo=algo,
-                                            **ooc_kwargs)
-            return result
+            if queue is not None:
+                faults.maybe("serve.batch")
+            faults.maybe("serve.engine")
+            return call()
         finally:
+            elapsed = time.monotonic() - start
             with self._lock:
-                self._metrics.observe_run(time.monotonic() - start)
+                if queue is not None:
+                    queue.run_seconds += elapsed
+                self._metrics.observe_run(elapsed)
 
+    # -- settling -----------------------------------------------------------
     def _expire(self, future: "asyncio.Future", timeout: float,
                 queue: Optional[BatchQueue]) -> None:
         """Deadline timer callback (runs on the event loop).
@@ -724,8 +646,8 @@ class Server:
         skips them when zipping results back — the same two-sided path
         that makes cancellation batch-safe.  The sweep of the queue's
         settled husks piggybacks here so expiry storms do not leave the
-        deque full of dead entries between flushes (out-of-core requests
-        pass no queue — they never sit in one).
+        deque full of dead entries between flushes (direct requests pass
+        no queue — they never sit in one).
         """
         if not future.done():
             future.set_exception(DeadlineError(
@@ -763,7 +685,7 @@ class Server:
     def _flush(self, queue: BatchQueue) -> None:
         """Dispatch every live pending request of ``queue`` in batches of
         at most ``max_batch`` (runs on the event loop: from a linger
-        timer, a full queue in ``submit``, or ``close``)."""
+        timer, a full queue in :meth:`_enqueue`, or ``close``)."""
         queue.cancel_timer()
         while queue.pending:
             batch = queue.take(self.max_batch)
@@ -775,20 +697,25 @@ class Server:
                 # wait_seconds for every batch after the first
                 waits = queue.note_dispatch(batch)
                 self._metrics.observe_dispatch(waits, len(batch))
-            task = self._loop.create_task(self._run_batch(queue, batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self._track(self._loop.create_task(self._run_batch(queue, batch)))
         # a flush that dispatched nothing (every waiter cancelled) leaves
         # the queue drained with no batch task to retire it later
         self._maybe_retire(queue)
 
     async def _run_batch(self, queue: BatchQueue,
                          batch: List[Request]) -> None:
-        loop = asyncio.get_running_loop()
+        head = batch[0]
+        if head.op == "ata":
+            call = partial(self.engine.run_batch,
+                           [request.a for request in batch],
+                           algo=head.algo, alpha=head.alpha)
+        else:
+            call = partial(self.engine.run_batch_atb,
+                           [(request.a, request.b) for request in batch],
+                           algo=head.algo, alpha=head.alpha)
         try:
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_coalesced, queue, batch)
+                results = await self._offload(call, queue)
             except asyncio.CancelledError:
                 for request in batch:
                     if not request.future.done():
@@ -833,34 +760,6 @@ class Server:
                         _OVERFLOW_KEY, _empty_counters())
                     _merge_counters(overflow, self._retired.pop(oldest))
             _merge_counters(entry, queue.snapshot())
-
-    def _execute_coalesced(self, queue: BatchQueue,
-                           batch: List[Request]) -> List[np.ndarray]:
-        """Runs on an executor thread; the engine is thread-safe.
-
-        ``run_seconds`` is measured here — around the engine call itself —
-        so a batch queued behind others in the executor charges that delay
-        to neither wait (pre-dispatch) nor run accounting.
-        """
-        head = batch[0]
-        start = time.monotonic()
-        try:
-            # chaos sites: a failing batch dispatch and a slow engine call
-            # (the latter drives deadline expiry in the chaos suite)
-            faults.maybe("serve.batch")
-            faults.maybe("serve.engine")
-            if head.op == "ata":
-                return self.engine.run_batch(
-                    [request.a for request in batch],
-                    algo=head.algo, alpha=head.alpha)
-            return self.engine.run_batch_atb(
-                [(request.a, request.b) for request in batch],
-                algo=head.algo, alpha=head.alpha)
-        finally:
-            with self._lock:
-                elapsed = time.monotonic() - start
-                queue.run_seconds += elapsed
-                self._metrics.observe_run(elapsed)
 
     # -- lifecycle ----------------------------------------------------------
     async def close(self, *, drain: bool = True) -> None:

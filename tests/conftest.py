@@ -66,3 +66,22 @@ def tiny_base_case():
 def random_matrix(rng: np.random.Generator, m: int, n: int, dtype=np.float64) -> np.ndarray:
     """Convenience used throughout the test modules."""
     return rng.standard_normal((m, n)).astype(dtype, copy=False)
+
+
+@pytest.fixture(params=["dense", "csr", "ooc", "stream"])
+def serve_entry(request):
+    """One :class:`repro.serve.Server` entry kind, as
+    ``serve_entry(server, a, **kwargs)`` -> the coroutine serving
+    ``A^T A`` of the dense ``a`` through it: dense ``submit``, CSR
+    ``submit`` (skipped without scipy), ``submit_ooc`` or
+    ``submit_stream`` (``a`` fed as 16-row chunks)."""
+    kind = request.param
+    if kind == "csr":
+        sps = pytest.importorskip("scipy.sparse")
+        return lambda server, a, **kw: server.submit(sps.csr_matrix(a), **kw)
+    if kind == "ooc":
+        return lambda server, a, **kw: server.submit_ooc(a, **kw)
+    if kind == "stream":
+        return lambda server, a, **kw: server.submit_stream(
+            (a[i:i + 16] for i in range(0, a.shape[0], 16)), **kw)
+    return lambda server, a, **kw: server.submit(a, **kw)

@@ -312,15 +312,34 @@ class TestServingChaos:
             result = asyncio.run(scenario())
         assert isinstance(result, np.ndarray)
 
-    def test_negative_timeout_rejected(self, rng):
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), "soon"])
+    def test_negative_timeout_rejected(self, rng, timeout):
         a = rng.standard_normal((64, 16))
 
         async def scenario():
             async with Server() as server:
-                await server.submit(a, timeout=-1.0)
+                await server.submit(a, timeout=timeout)
 
         with pytest.raises(ConfigurationError):
             asyncio.run(scenario())
+
+    def test_slow_engine_expires_every_entry_kind(self, rng, serve_entry):
+        """Every entry kind passes the ``serve.engine`` chaos site, so a
+        slow engine drives its deadline: ``DeadlineError``, ledgered
+        under ``expired``."""
+        a = rng.standard_normal((64, 16))
+
+        async def scenario():
+            async with Server() as server:
+                with pytest.raises(DeadlineError):
+                    await serve_entry(server, a, timeout=0.05)
+            return server.stats()
+
+        with configured(faults="serve.engine:slow0.3@always"):
+            stats = asyncio.run(scenario())
+        assert stats.expired == 1 and stats.failed == 0
+        assert stats.submitted == stats.accounted == 1
+        assert stats.inflight == 0
 
     def test_batch_fault_fails_all_companions_and_ledgers(self, rng):
         a = rng.standard_normal((64, 16))

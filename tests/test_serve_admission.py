@@ -22,9 +22,11 @@ import pytest
 
 from repro.config import configured
 from repro.engine import ExecutionEngine
+from repro.engine.sparse import HAVE_SCIPY
 from repro.errors import (
     ConfigurationError,
     DeadlineError,
+    FairnessError,
     QueueFullError,
     ServerClosedError,
     ShapeError,
@@ -334,6 +336,99 @@ class TestFailureDelivery:
             stats = run(scenario())
         assert stats.submitted == 1 and stats.completed == 1
         assert _reconciled(stats)
+
+    def test_server_and_engine_raise_the_same_error(self, rng):
+        """The pre-admission check is the engine's own: every malformed
+        request fails at ``Server.submit`` with exactly the error type
+        the matching engine call raises, and is never admitted."""
+        a = rng.standard_normal((32, 16))
+        b = rng.standard_normal((32, 4))
+        cases = [
+            ("ata with B", a, "ata", b, "auto"),
+            ("atb without B", a, "atb", None, "auto"),
+            ("first-dimension mismatch", a, "atb",
+             rng.standard_normal((5, 4)), "auto"),
+            ("dtype mismatch", a, "atb", b.astype(np.float32), "auto"),
+            ("unknown algo", a, "ata", None, "no_such_backend"),
+            ("blas_direct on float16", a.astype(np.float16), "ata", None,
+             "blas_direct"),
+        ]
+        if HAVE_SCIPY:
+            import scipy.sparse as sps
+            csr = sps.random(32, 16, density=0.2, format="csr",
+                             random_state=7)
+            cases += [("CSR " + name, csr, op, other, algo)
+                      for name, _, op, other, algo in cases[:5]]
+            cases.append(("CSR with a dense-only algo", csr, "ata", None,
+                          "syrk"))
+        engine = ExecutionEngine()
+
+        def engine_error(op, a, b, algo):
+            # matmul_ata has no B parameter: a stray B lands in C's slot,
+            # where the engine rejects it
+            call = engine.matmul_ata if op == "ata" else engine.matmul_atb
+            with pytest.raises(Exception) as info:
+                call(a, b, algo=algo)
+            return info.value
+
+        async def scenario():
+            async with Server(engine) as server:
+                errors = {}
+                for name, a, op, b, algo in cases:
+                    with pytest.raises(Exception) as info:
+                        await server.submit(a, op, b, algo=algo)
+                    errors[name] = info.value
+                return errors, server.stats()
+
+        errors, stats = run(scenario())
+        mismatched = [(name, errors[name], expected)
+                      for name, a, op, b, algo in cases
+                      for expected in [engine_error(op, a, b, algo)]
+                      if type(errors[name]) is not type(expected)]
+        assert not mismatched
+        assert stats.submitted == 0
+
+
+class TestLifecycleContract:
+    """Every entry kind — dense and CSR ``submit``, ``submit_ooc``,
+    ``submit_stream`` — runs the one request lifecycle, so each obeys
+    the same admission, fairness, drain and ledger contract."""
+
+    def test_entry_kind_obeys_the_lifecycle_contract(self, rng,
+                                                     serve_entry):
+        a = rng.standard_normal((64, 16))
+
+        async def scenario():
+            # fair_share 0.5 of max_inflight 2: one slot per client id
+            server = Server(ExecutionEngine(), max_inflight=2,
+                            fair_share=0.5)
+            first = asyncio.ensure_future(
+                serve_entry(server, a, client="alice"))
+            await asyncio.sleep(0)  # admitted: alice holds her one slot
+            with pytest.raises(FairnessError):
+                await serve_entry(server, a, client="alice")
+            second = asyncio.ensure_future(
+                serve_entry(server, a, client="bob"))
+            await asyncio.sleep(0)  # admitted: the window is now full
+            with pytest.raises(QueueFullError) as full:
+                await serve_entry(server, a, client="carol")
+            assert type(full.value) is QueueFullError
+            await server.close()
+            # close() returned only once both admitted requests settled
+            closed_stats = server.stats()
+            with pytest.raises(ServerClosedError):
+                await serve_entry(server, a, client="alice")
+            return await asyncio.gather(first, second), closed_stats
+
+        results, stats = run(scenario())
+        expected = ExecutionEngine().matmul_ata(a)
+        for c in results:
+            assert np.allclose(c, expected)
+        assert stats.completed == 2 and stats.inflight == 0
+        assert stats.rejected == 2
+        assert stats.clients["alice"].rejected == 1
+        assert stats.clients["carol"].rejected == 1
+        assert stats.submitted == stats.accounted == 4
 
 
 class TestLoopRebindAndRetirement:
